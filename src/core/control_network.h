@@ -56,10 +56,9 @@ struct ControlNetworkReport {
 
 /// STA products the control network consumes, computed by the flow's
 /// region_timing pass.  Split out of insertControlNetwork so the (slow)
-/// timing analysis can be cached independently of the (cheap) network
-/// construction: changing a post-substitution knob — margin, mux taps,
-/// controller kind, reset wiring — re-runs construction from the cached
-/// timing instead of re-running STA.
+/// timing analysis is a pass of its own, which the ECO layer
+/// (core/eco.h) restores per clean region, while the (cheap) network
+/// construction always reruns.
 struct RegionTiming {
   double per_level_delay_ns = 0;  ///< characterized AND-stage rise delay
   /// Per group: worst combinational delay into the region's master latches

@@ -174,33 +174,15 @@ void runFeProve(const netlist::Module& sync_top, const netlist::Module& module,
   result.flow.setSymfe(ss);
 }
 
-}  // namespace
-
-DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
-                           const liberty::Gatefile& gatefile,
-                           const DesyncOptions& options) {
-  DesyncResult result;
-  result.flow.setJobs(effectiveJobs());
-  const PoolStats pool_before = threadPoolStats();
-
-  // Pristine synchronous snapshot for the post-flow flow-equivalence check
-  // (the flow mutates `module` in place); taken only when the check is on.
-  netlist::Design sync_snapshot;
-  const netlist::Module* sync_top = nullptr;
-  const bool want_vector = options.fe.batches > 0 &&
-                           options.fe.mode != FeMode::kProve;
-  const bool want_prove = options.fe.mode != FeMode::kSim;
-  if (want_vector || want_prove) {
-    trace::Span span("sync_snapshot", "flow");
-    sync_top = &netlist::snapshotModule(sync_snapshot, module);
-  }
-
-  FlowSession session(design, module, gatefile, options, result);
-
+/// The seven passes, in order (kFlowPasses); each runs under its
+/// ScopedPass through FlowSession::runPass.
+void runPasses(FlowSession& session, netlist::Design& design,
+               netlist::Module& module, const liberty::Gatefile& gatefile,
+               const DesyncOptions& options, DesyncResult& result) {
   // Reference periods of the synchronous circuit (before any mutation):
   // one STA per PVT corner, built concurrently over a shared binding.  The
   // typical corner (delay_scale 1.0) is the flow's reference period.
-  session.addPass("reference_sta", nullptr, [&](ScopedPass& pass) {
+  session.runPass("reference_sta", [&](ScopedPass& pass) {
     const liberty::BoundModule bound(module, gatefile);
     const variability::Corner corners[] = {variability::Corner::kBest,
                                            variability::Corner::kTypical,
@@ -269,19 +251,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 1+2. Cleaning + region creation (automatic or designer-specified).
-  auto grouping_fp = [&](flowdb::KeyHasher& h) {
-    h.u64(options.grouping.clean_logic ? 1 : 0);
-    h.u64(options.grouping.bus_heuristic ? 1 : 0);
-    h.u64(options.grouping.false_path_nets.size());
-    for (const std::string& s : options.grouping.false_path_nets) h.str(s);
-    h.str(options.clock_port);
-    h.u64(options.manual_seq_groups.size());
-    for (const auto& group : options.manual_seq_groups) {
-      h.u64(group.size());
-      for (const std::string& s : group) h.str(s);
-    }
-  };
-  session.addPass("region_grouping", grouping_fp, [&](ScopedPass& pass) {
+  session.runPass("region_grouping", [&](ScopedPass& pass) {
     if (options.manual_seq_groups.empty()) {
       result.regions = groupRegions(module, gatefile, options.grouping);
     } else {
@@ -296,7 +266,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 3. Flip-flop substitution (latch pairs + extra-latch glue).
-  session.addPass("ff_substitution", nullptr, [&](ScopedPass& pass) {
+  session.runPass("ff_substitution", [&](ScopedPass& pass) {
     result.substitution =
         substituteFlipFlops(module, gatefile, result.regions);
     pass.counter("ffs_replaced",
@@ -307,7 +277,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 4. Data-dependency graph over the regions.
-  session.addPass("dependency_graph", nullptr, [&](ScopedPass& pass) {
+  session.runPass("dependency_graph", [&](ScopedPass& pass) {
     result.ddg = buildDependencyGraph(module, gatefile, result.regions);
     std::int64_t edges = 0;
     for (const auto& preds : result.ddg.preds) {
@@ -317,11 +287,9 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 5a. Region timing: datapath re-buffering, delay-element stage
-  // characterization and per-region critical paths.  Deliberately keyed
-  // without the control knobs (margin, mux taps, controller kind, reset):
-  // changing any of those reuses this pass's cached STA results and only
-  // recomputes the cheap network construction below.
-  session.addPass("region_timing", nullptr, [&](ScopedPass& pass) {
+  // characterization and per-region critical paths.  In --eco mode clean
+  // regions restore their stored timing.
+  session.runPass("region_timing", [&](ScopedPass& pass) {
     if (EcoContext* eco = session.eco()) {
       EcoContext::RegionTimingOutcome out =
           eco->regionTiming(module, gatefile, result.regions);
@@ -337,15 +305,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   });
 
   // 5b+6. Delay elements and control network.
-  auto control_fp = [&](flowdb::KeyHasher& h) {
-    h.u64(static_cast<std::uint64_t>(options.control.controller));
-    h.f64(options.control.margin);
-    h.u64(static_cast<std::uint64_t>(options.control.mux_taps));
-    h.u64(static_cast<std::uint64_t>(options.control.nominal_selection));
-    h.str(options.control.reset_port);
-    h.u64(options.control.reset_active_low ? 1 : 0);
-  };
-  session.addPass("control_network", control_fp, [&](ScopedPass& pass) {
+  session.runPass("control_network", [&](ScopedPass& pass) {
     result.control = insertControlNetwork(
         design, module, gatefile, result.regions, result.ddg,
         result.substitution, result.timing, options.control);
@@ -361,7 +321,7 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
   // becomes two non-overlapping latch-enable clocks sourced at the
   // controllers' g drivers; the falling edge of the master coincides with
   // the rising edge of the slave at the original capture instant.
-  session.addPass("sdc_generation", nullptr, [&](ScopedPass& pass) {
+  session.runPass("sdc_generation", [&](ScopedPass& pass) {
     const double period = result.sync_min_period_ns;
     sta::SdcClock clk_m, clk_s;
     clk_m.name = "ClkM";
@@ -396,8 +356,34 @@ DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
     pass.counter("disabled_arcs",
                  static_cast<std::int64_t>(result.sdc.disabled.size()));
   });
+}
 
-  session.run();
+}  // namespace
+
+DesyncResult desynchronize(netlist::Design& design, netlist::Module& module,
+                           const liberty::Gatefile& gatefile,
+                           const DesyncOptions& options) {
+  DesyncResult result;
+  result.flow.setJobs(effectiveJobs());
+  const PoolStats pool_before = threadPoolStats();
+
+  // Pristine synchronous snapshot for the post-flow flow-equivalence check
+  // (the flow mutates `module` in place); taken only when the check is on.
+  netlist::Design sync_snapshot;
+  const netlist::Module* sync_top = nullptr;
+  const bool want_vector = options.fe.batches > 0 &&
+                           options.fe.mode != FeMode::kProve;
+  const bool want_prove = options.fe.mode != FeMode::kSim;
+  if (want_vector || want_prove) {
+    trace::Span span("sync_snapshot", "flow");
+    sync_top = &netlist::snapshotModule(sync_snapshot, module);
+  }
+
+  FlowSession session(design, module, gatefile, options, result);
+  if (!session.restore()) {
+    runPasses(session, design, module, gatefile, options, result);
+  }
+  session.finish();
   if (want_vector) {
     runFeCheck(*sync_top, module, gatefile, options, result);
   }

@@ -1,6 +1,7 @@
 #include "core/flow_cache.h"
 
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "core/eco.h"
@@ -117,6 +118,37 @@ void tracePassBoundaryCounters(const liberty::Gatefile& gatefile,
     trace::counter("cache_bytes_written",
                    static_cast<double>(cache->stats().bytes_written));
   }
+}
+
+flowdb::SnapshotMeta snapshotMeta(const liberty::Gatefile& gatefile) {
+  flowdb::SnapshotMeta meta;
+  meta.tool_version = std::string(kToolVersion);
+  meta.library = gatefile.library().name;
+  meta.library_fingerprint = gatefile.library().contentHash();
+  return meta;
+}
+
+/// Every DesyncOptions field the seven passes read: the grouping knobs,
+/// the clock port, the manual regions and the control-network knobs.
+/// Never --jobs, the FlowDB knobs or the FE options — the post-flow checks
+/// run after a memo hit too.
+void hashFlowOptions(flowdb::KeyHasher& h, const DesyncOptions& options) {
+  h.u64(options.grouping.clean_logic ? 1 : 0);
+  h.u64(options.grouping.bus_heuristic ? 1 : 0);
+  h.u64(options.grouping.false_path_nets.size());
+  for (const std::string& s : options.grouping.false_path_nets) h.str(s);
+  h.str(options.clock_port);
+  h.u64(options.manual_seq_groups.size());
+  for (const auto& group : options.manual_seq_groups) {
+    h.u64(group.size());
+    for (const std::string& s : group) h.str(s);
+  }
+  h.u64(static_cast<std::uint64_t>(options.control.controller));
+  h.f64(options.control.margin);
+  h.u64(static_cast<std::uint64_t>(options.control.mux_taps));
+  h.u64(static_cast<std::uint64_t>(options.control.nominal_selection));
+  h.str(options.control.reset_port);
+  h.u64(options.control.reset_active_low ? 1 : 0);
 }
 
 }  // namespace
@@ -264,11 +296,7 @@ FlowSession::~FlowSession() = default;
 FlowSession::FlowSession(netlist::Design& design, netlist::Module& module,
                          const liberty::Gatefile& gatefile,
                          const DesyncOptions& options, DesyncResult& result)
-    : design_(design),
-      module_(module),
-      gatefile_(gatefile),
-      options_(options),
-      result_(result) {
+    : design_(design), gatefile_(gatefile), result_(result) {
   if (options.flowdb.cache_dir.empty()) return;
   try {
     cache_ = std::make_unique<flowdb::PassCache>(options.flowdb.cache_dir);
@@ -277,178 +305,101 @@ FlowSession::FlowSession(netlist::Design& design, netlist::Module& module,
     return;
   }
 
-  // Base key: format + tool identity, library binding, and the full input
-  // design state.  --jobs is deliberately absent: the flow is deterministic
-  // across worker counts, so cached state is valid at any --jobs.
-  library_fingerprint_ = gatefile.library().contentHash();
+  // Format + tool identity, library binding and the flow options.  --jobs
+  // is deliberately absent: the flow is deterministic across worker
+  // counts, so cached state is valid at any --jobs.
   flowdb::KeyHasher h;
   h.u32(flowdb::kSnapshotFormatVersion);
   h.str(kToolVersion);
   h.str(gatefile.library().name);
-  h.u64(library_fingerprint_);
+  h.u64(gatefile.library().contentHash());
+  hashFlowOptions(h, options);
   if (options.flowdb.eco) {
     // ECO mode never serializes the design: the input is diffed against
-    // per-object record tables instead (core/eco.h), so the key chain
-    // carries configuration only and acts as the tables' guard.
-    eco_mode_ = true;
-    if (options.flowdb.resume) {
-      result_.flow.note("--resume is ignored in --eco mode");
-    }
+    // per-object record tables instead (core/eco.h), so the guard carries
+    // configuration only, plus the FE options the post-flow proofs depend
+    // on; any configuration drift makes the stored tables unreachable
+    // (cold ECO run) instead of subtly stale.
+    h.u64(static_cast<std::uint64_t>(options.fe.mode));
+    h.u64(options.fe.prove_max_conflicts);
+    const auto t0 = Clock::now();
+    eco_ = std::make_unique<EcoContext>(*cache_, module, gatefile, h.key(),
+                                        result_.flow);
+    restore_ms_ = msSince(t0);
   } else {
-    flowdb::SnapshotMeta meta;
-    meta.tool_version = std::string(kToolVersion);
-    meta.library = gatefile.library().name;
-    meta.library_fingerprint = library_fingerprint_;
-    h.str(flowdb::serializeDesign(design, meta));
+    h.str(flowdb::serializeDesign(design, snapshotMeta(gatefile)));
+    memo_key_ = h.key();
   }
-  key_ = h.key();
+}
 
-  if (options.flowdb.resume && !eco_mode_) {
+bool FlowSession::restore() {
+  if (cache_ == nullptr || eco_ != nullptr) return false;
+  const auto t0 = Clock::now();
+  std::optional<std::string> entry;
+  {
+    trace::Span span("cache_probe", "flowdb");
     std::string diag;
-    checkpoint_ = cache_->loadCheckpoint(&diag);
+    entry = cache_->load(memo_key_, &diag);
     if (!diag.empty()) result_.flow.note(diag);
-    if (!checkpoint_.has_value()) {
-      result_.flow.note("resume requested but no valid checkpoint found");
+  }
+  if (entry.has_value()) {
+    trace::Span span("cache_restore", "flowdb");
+    try {
+      // Decode the result before touching the design, so a body that
+      // fails to decode leaves the input intact for the cold run.
+      flowdb::ByteReader r(*entry);
+      const std::string_view snapshot = r.str();
+      DesyncResult decoded;
+      decodeResult(r.str(), decoded);
+      flowdb::restoreDesign(design_, snapshot);
+      decoded.flow = std::move(result_.flow);
+      result_ = std::move(decoded);
+      restored_ = true;
+    } catch (const std::exception& e) {
+      result_.flow.note(std::string("flowdb: cannot apply the memo entry: ") +
+                        e.what());
     }
   }
-}
-
-void FlowSession::addPass(
-    const char* name,
-    const std::function<void(flowdb::KeyHasher&)>& fingerprint,
-    const std::function<void(ScopedPass&)>& body) {
-  flowdb::KeyHasher h;
-  h.absorb(key_);
-  h.str(name);
-  if (fingerprint) fingerprint(h);
-  key_ = h.key();
-  passes_.push_back(Pass{name, body, key_});
-}
-
-int FlowSession::findRestorePoint() {
-  trace::Span span("cache_probe", "flowdb");
-  for (int i = static_cast<int>(passes_.size()) - 1; i >= 0; --i) {
-    const flowdb::CacheKey& key = passes_[static_cast<std::size_t>(i)].key;
-    if (checkpoint_.has_value() &&
-        checkpoint_->pass_index == static_cast<std::uint32_t>(i) &&
-        checkpoint_->key == key) {
-      pending_entry_ = std::move(checkpoint_->entry);
-      checkpoint_.reset();
-      restore_source_ = "checkpoint";
-      return i;
-    }
-    std::string diag;
-    std::optional<std::string> entry = cache_->load(key, &diag);
-    if (!diag.empty()) result_.flow.note(diag);
-    if (entry.has_value()) {
-      pending_entry_ = std::move(*entry);
-      restore_source_ = "cache";
-      return i;
-    }
+  restore_ms_ = msSince(t0);
+  if (!restored_) return false;
+  // One report row per restored pass; the whole probe+restore cost is
+  // charged to the last one.
+  PassStat* stat = nullptr;
+  for (const char* name : kFlowPasses) {
+    stat = &result_.flow.addPass(name);
+    stat->source = "cache";
   }
-  return -1;
+  stat->wall_ms = restore_ms_;
+  tracePassBoundaryCounters(gatefile_, cache_.get());
+  return true;
 }
 
-void FlowSession::applyPending(const char* pass) {
-  if (!pending_entry_.has_value()) return;
-  trace::Span span("cache_restore", "flowdb");
-  try {
-    flowdb::ByteReader r(*pending_entry_);
-    const std::string_view snapshot = r.str();
-    const std::string_view blob = r.str();
-    flowdb::restoreDesign(design_, snapshot);
-    decodeResult(blob, result_);
-  } catch (const std::exception& e) {
-    pending_entry_.reset();
-    throw flowdb::FlowDbError(std::string("flowdb: cannot apply state of ") +
-                              pass + ": " + e.what());
-  }
-  pending_entry_.reset();
-}
-
-void FlowSession::computePass(const Pass& pass, std::uint32_t index) {
-  try {
-    ScopedPass scoped(result_.flow, pass.name);
-    pass.body(scoped);
-  } catch (const FlowError&) {
-    throw;
-  } catch (const std::exception& e) {
-    // ~ScopedPass already appended the failing pass's stat.
-    throw FlowError(pass.name, result_.flow, e.what());
-  }
+void FlowSession::passDone() {
   if (!result_.flow.passes().empty()) {
     compute_ms_ += result_.flow.passes().back().wall_ms;
-  }
-
-  if (cacheActive() && !eco_mode_) {
-    trace::Span span("cache_store", "flowdb");
-    flowdb::SnapshotMeta meta;
-    meta.tool_version = std::string(kToolVersion);
-    meta.library = gatefile_.library().name;
-    meta.library_fingerprint = library_fingerprint_;
-    flowdb::ByteWriter entry;
-    entry.str(flowdb::serializeDesign(design_, meta));
-    entry.str(encodeResult(result_));
-    cache_->store(pass.key, entry.bytes());
-    cache_->storeCheckpoint(index, pass.name, pass.key, entry.bytes());
   }
   tracePassBoundaryCounters(gatefile_, cache_.get());
 }
 
-void FlowSession::run() {
-  int restored = -1;
-  if (cacheActive() && eco_mode_) {
-    // The guard key chains every registered pass plus the FE options the
-    // post-session checks depend on; any configuration drift makes the
-    // stored tables unreachable (cold ECO run) instead of subtly stale.
-    const auto t0 = Clock::now();
-    flowdb::KeyHasher h;
-    h.absorb(key_);
-    h.u64(static_cast<std::uint64_t>(options_.fe.mode));
-    h.u64(options_.fe.prove_max_conflicts);
-    eco_ = std::make_unique<EcoContext>(*cache_, module_, gatefile_, h.key(),
-                                        result_.flow);
-    restore_ms_ = msSince(t0);
+void FlowSession::finish() {
+  if (cache_ == nullptr) return;
+  if (eco_ == nullptr && !restored_) {
+    trace::Span span("cache_store", "flowdb");
+    flowdb::ByteWriter entry;
+    entry.str(flowdb::serializeDesign(design_, snapshotMeta(gatefile_)));
+    entry.str(encodeResult(result_));
+    cache_->store(memo_key_, entry.bytes());
+    tracePassBoundaryCounters(gatefile_, cache_.get());
   }
-  if (cacheActive() && !eco_mode_) {
-    const auto t0 = Clock::now();
-    restored = findRestorePoint();
-    if (restored >= 0) {
-      const char* name = passes_[static_cast<std::size_t>(restored)].name;
-      try {
-        applyPending(name);
-      } catch (const flowdb::FlowDbError& e) {
-        // A validated envelope whose body still fails to decode: fall all
-        // the way back to a cold run rather than giving up.
-        result_.flow.note(e.what());
-        restored = -1;
-      }
-    }
-    restore_ms_ = msSince(t0);
-    // One report row per restored pass; the whole probe+restore cost is
-    // charged to the restore point itself.
-    for (int i = 0; i <= restored; ++i) {
-      PassStat& stat =
-          result_.flow.addPass(passes_[static_cast<std::size_t>(i)].name);
-      stat.source = restore_source_;
-      if (i == restored) stat.wall_ms = restore_ms_;
-    }
-    if (restored >= 0) tracePassBoundaryCounters(gatefile_, cache_.get());
-  }
-
-  for (std::size_t i = static_cast<std::size_t>(restored + 1);
-       i < passes_.size(); ++i) {
-    computePass(passes_[i], static_cast<std::uint32_t>(i));
-  }
-
-  if (!cacheActive()) return;
   const flowdb::CacheStats& cs = cache_->stats();
   FlowCacheStats stats;
   stats.enabled = true;
-  // ECO mode reads no whole-design entries; restore_ms is the table
-  // load + diff cost and the restore detail lives in the "eco" section.
-  stats.hits = eco_mode_ ? 0 : static_cast<std::uint64_t>(restored + 1);
-  stats.misses = eco_mode_ ? 0 : passes_.size() - stats.hits;
+  // ECO mode reads no memo; restore_ms is the table load + diff cost and
+  // the restore detail lives in the "eco" section.
+  if (eco_ == nullptr) {
+    stats.hits = restored_ ? kFlowPasses.size() : 0;
+    stats.misses = kFlowPasses.size() - stats.hits;
+  }
   stats.bytes_read = cs.bytes_read;
   stats.bytes_written = cs.bytes_written;
   stats.restore_ms = restore_ms_;

@@ -1,44 +1,34 @@
 // FlowDB integration of the desynchronization flow.
 //
-// A FlowSession wraps one desynchronize() run.  It maintains the chained
-// content-address of the flow state: the base key hashes the snapshot
-// format version, the tool version, the library fingerprint and the input
-// design snapshot; each pass then extends the chain with its name and the
-// fingerprint of the options it actually depends on.  Because the pipeline
-// is deterministic, "same chain key" == "same state after this pass", so a
-// cache entry stored under the key of pass i can be restored verbatim.
+// A FlowSession wraps one desynchronize() run.  With a cache directory it
+// memoizes the whole flow as ONE entry.  The memo key hashes the snapshot
+// format version, the tool version, the library name and fingerprint, the
+// serialized input design and one fingerprint of every DesyncOptions
+// field the seven passes read; --jobs never enters it, because the flow
+// is deterministic across worker counts.  The payload is the final design
+// snapshot plus encodeResult() of the DesyncResult.  restore() applies a
+// hit, and the report then lists all seven passes with source "cache".
+// On a miss desynchronize() runs the passes in order through runPass(),
+// and finish() stores the memo once, after the last pass succeeded — a
+// failed run stores nothing.  A corrupt, foreign or other-version entry is
+// a miss with a diagnostic note: the run goes cold, never wrong.
 //
-// Passes are *registered* first (addPass) and executed by run().  The key
-// chain is a pure function of the input + options — no entry has to be
-// read to compute it — so run() derives every pass key up front, probes
-// the cache (and the --resume checkpoint) deepest-first for the latest
-// restorable state, applies that single entry, and computes only the
-// passes after it.  A warm run therefore reads exactly one entry no
-// matter how long the restored prefix is, and a corrupt entry simply
-// makes the probe fall back to the next-shallower candidate (ultimately a
-// cold run), with a diagnostic note in the report.
-//
-// --jobs never enters any key, and restored results are byte-identical to
-// computed ones, preserving the flow's determinism guarantee.  After
-// every computed pass run() stores a cache entry *and* overwrites the
-// checkpoint slot, so an interrupted run restarts from its last completed
-// pass via `--resume`.
-//
-// In --eco mode (FlowDbOptions::eco) the whole-design machinery above is
-// bypassed: the base key carries configuration only (no input snapshot),
-// no entries or checkpoints are probed or stored, and run() instead
-// constructs an EcoContext (core/eco.h) that diffs the input against
-// per-object record tables and serves region-level restores to the pass
-// bodies.  Every pass executes — the incrementality lives *inside* the
-// passes, which skip the analysis work for clean regions.
+// In --eco mode (FlowDbOptions::eco) the memo is bypassed: no design is
+// serialized, and the session instead constructs an EcoContext
+// (core/eco.h) under a guard key of configuration only (tool and library
+// identity, the options fingerprint and the FE options).  The context
+// diffs the input against per-object record tables and serves
+// region-level restores to the pass bodies.  Every pass executes — the
+// incrementality lives *inside* the passes, which skip the analysis work
+// for clean regions.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <functional>
+#include <exception>
 #include <memory>
-#include <optional>
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "core/desync.h"
 #include "flowdb/cache.h"
@@ -48,13 +38,21 @@ namespace desync::core {
 
 class EcoContext;
 
+/// The seven flow passes in desynchronize()'s order: the report rows of a
+/// memo hit.
+inline constexpr std::array<const char*, 7> kFlowPasses = {
+    "reference_sta",    "region_grouping", "ff_substitution",
+    "dependency_graph", "region_timing",   "control_network",
+    "sdc_generation"};
+
 /// Encodes every DesyncResult field except `flow` as a FlowDB byte blob.
 [[nodiscard]] std::string encodeResult(const DesyncResult& result);
 /// Inverse of encodeResult; throws flowdb::FlowDbError on malformed input.
 void decodeResult(std::string_view blob, DesyncResult& result);
 
 /// One desynchronize() run's view of the FlowDB cache.  With an empty
-/// cache_dir the session is inert: run() just times and runs the bodies.
+/// cache_dir the session is inert: restore() misses, runPass() just times
+/// and runs the bodies, finish() does nothing.
 class FlowSession {
  public:
   FlowSession(netlist::Design& design, netlist::Module& module,
@@ -62,22 +60,35 @@ class FlowSession {
               DesyncResult& result);
   ~FlowSession();  // out of line: EcoContext is incomplete here
 
-  /// Registers a pass: `name`, the key-chain `fingerprint` (options the
-  /// pass depends on; may be null) and the `body` that computes it.  The
-  /// body runs inside run(), in registration order.
-  void addPass(const char* name,
-               const std::function<void(flowdb::KeyHasher&)>& fingerprint,
-               const std::function<void(ScopedPass&)>& body);
+  /// Restores the whole flow from its memo entry.  True on a hit: the
+  /// design and the result hold the final state and the report lists
+  /// every pass as "cache".  False (cache off, --eco, absent or invalid
+  /// entry): the caller runs the passes.
+  [[nodiscard]] bool restore();
 
-  /// Executes the registered pipeline: restores the deepest cached state,
-  /// computes the remaining passes, publishes FlowCacheStats.  Exceptions
-  /// from a body are rethrown as FlowError carrying the partial
-  /// FlowReport.
-  void run();
+  /// Runs one pass body under its ScopedPass.  An exception from the body
+  /// is rethrown as FlowError carrying the partial FlowReport.
+  template <typename Body>
+  void runPass(const char* name, Body&& body) {
+    try {
+      ScopedPass scoped(result_.flow, name);
+      body(scoped);
+    } catch (const FlowError&) {
+      throw;
+    } catch (const std::exception& e) {
+      // ~ScopedPass already appended the failing pass's stat.
+      throw FlowError(name, result_.flow, e.what());
+    }
+    passDone();
+  }
+
+  /// Stores the memo after a computed run and publishes FlowCacheStats;
+  /// call once, after the seven passes succeeded or restore() hit.
+  void finish();
 
   /// The incremental-recompute context of an --eco run; nullptr otherwise
-  /// (plain runs, no cache directory, or run() not yet entered).  Pass
-  /// bodies use it for region keys and restore queries.
+  /// (plain runs, no cache directory).  Pass bodies use it for region keys
+  /// and restore queries.
   [[nodiscard]] EcoContext* eco() { return eco_.get(); }
 
   /// Stores the updated ECO tables and publishes the "eco" report section;
@@ -85,34 +96,17 @@ class FlowSession {
   void ecoFinish();
 
  private:
-  struct Pass {
-    const char* name;
-    std::function<void(ScopedPass&)> body;
-    flowdb::CacheKey key;
-  };
-
-  /// Deepest-first probe for a restorable state; returns the index of the
-  /// restored pass (-1 = none) and leaves its entry in pending_entry_.
-  [[nodiscard]] int findRestorePoint();
-  void applyPending(const char* pass);
-  void computePass(const Pass& pass, std::uint32_t index);
-  [[nodiscard]] bool cacheActive() const { return cache_ != nullptr; }
+  void passDone();
 
   netlist::Design& design_;
-  netlist::Module& module_;
   const liberty::Gatefile& gatefile_;
-  const DesyncOptions& options_;
   DesyncResult& result_;
 
-  std::vector<Pass> passes_;
   std::unique_ptr<flowdb::PassCache> cache_;
-  bool eco_mode_ = false;
   std::unique_ptr<EcoContext> eco_;
-  flowdb::CacheKey key_;
-  std::uint64_t library_fingerprint_ = 0;
-  std::optional<std::string> pending_entry_;
-  std::optional<flowdb::PassCache::Checkpoint> checkpoint_;
-  std::string restore_source_;
+  /// Key of the whole-flow memo entry; unused in --eco mode.
+  flowdb::CacheKey memo_key_;
+  bool restored_ = false;
   double restore_ms_ = 0.0;
   double compute_ms_ = 0.0;
 };

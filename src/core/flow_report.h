@@ -29,10 +29,10 @@ struct PassStat {
   /// ran serially).  work_ms / wall_ms is the realized speedup; toJson
   /// emits both so `--report` exposes the scaling at the current --jobs.
   double work_ms = 0.0;
-  /// How the pass's result was obtained: "computed" (ran), "cache"
-  /// (restored from a FlowDB cache entry) or "checkpoint" (restored via
-  /// `--resume`).  For restored passes wall_ms is the restore cost, so
-  /// `--report` exposes per-pass restore-vs-compute time directly.
+  /// How the pass's result was obtained: "computed" (ran) or "cache"
+  /// (restored with the whole flow from a FlowDB memo entry).  A memo hit
+  /// charges its whole restore cost to the last pass's wall_ms, so
+  /// `--report` exposes restore-vs-compute time directly.
   std::string source = "computed";
   /// Pass-specific work counters, in insertion order (e.g. "cells",
   /// "nets", "ffs_replaced").

@@ -18,16 +18,17 @@ namespace fs = std::filesystem;
 
 namespace {
 
-// Version 3: the directory additionally carries named slots (per-design ECO
-// region tables, see core/eco.h) next to the entry/checkpoint files, and
-// readers surface cross-version artifacts with a distinct `version`
-// diagnostic instead of folding them into corruption.  Version 2 entry
-// payloads opened with the 16-byte cache key they were stored under,
-// validated on load (see PassCache::load) — v3 keeps that layout.
-constexpr std::uint32_t kCacheFormatVersion = 3;
+// Version 4: the flow stores one whole-flow memo entry per (input design,
+// library, tool, flow options) instead of a chain of per-pass entries, the
+// checkpoint file is gone, and the ECO guard key is derived from one
+// options fingerprint instead of the per-pass key chain.  The v3 layout is
+// otherwise kept: named slots (per-design ECO region tables, see
+// core/eco.h) next to the entry files, readers that surface cross-version
+// artifacts with a distinct `version` diagnostic instead of folding them
+// into corruption, and entry payloads that open with the 16-byte cache
+// key they were stored under, validated on load (see PassCache::load).
+constexpr std::uint32_t kCacheFormatVersion = 4;
 constexpr std::string_view kEntryMagic = "DSYNCENT";
-constexpr std::string_view kCheckpointMagic = "DSYNCCKP";
-constexpr std::string_view kCheckpointFile = "checkpoint.ckpt";
 
 std::uint64_t processId() {
 #if defined(__unix__) || defined(__APPLE__)
@@ -166,7 +167,7 @@ std::optional<std::string> PassCache::load(const CacheKey& key,
     return payload;
   } catch (const FlowDbVersionError& e) {
     // Intact entry from another cache-format version (a cache directory
-    // shared across builds after the v2->v3 bump): a distinct diagnostic
+    // shared across builds after a format bump): a distinct diagnostic
     // and counter, not corruption — the flow degrades to a cold run and
     // re-stores in the current format.
     if (diag != nullptr) {
@@ -199,44 +200,6 @@ bool PassCache::store(const CacheKey& key, std::string_view payload) {
                               w.bytes());
   if (ok) stats_.bytes_written += payload.size();
   return ok;
-}
-
-std::optional<PassCache::Checkpoint> PassCache::loadCheckpoint(
-    std::string* diag) {
-  std::optional<std::string> payload =
-      readValidated(dir_ + "/" + std::string(kCheckpointFile), kCheckpointMagic,
-                    diag);
-  if (!payload.has_value()) return std::nullopt;
-  try {
-    ByteReader r(*payload);
-    Checkpoint ck;
-    ck.pass_index = r.u32();
-    ck.pass_name = std::string(r.str());
-    ck.key.hi = r.u64();
-    ck.key.lo = r.u64();
-    ck.entry = std::string(r.str());
-    if (!r.atEnd()) throw FlowDbError("trailing bytes");
-    return ck;
-  } catch (const FlowDbError& e) {
-    if (diag != nullptr) {
-      if (!diag->empty()) diag->append("; ");
-      diag->append("checkpoint: ").append(e.what());
-    }
-    return std::nullopt;
-  }
-}
-
-bool PassCache::storeCheckpoint(std::uint32_t pass_index,
-                                std::string_view pass_name,
-                                const CacheKey& key, std::string_view entry) {
-  ByteWriter w;
-  w.u32(pass_index);
-  w.str(pass_name);
-  w.u64(key.hi);
-  w.u64(key.lo);
-  w.str(entry);
-  return writeAtomic(dir_ + "/" + std::string(kCheckpointFile),
-                     kCheckpointMagic, w.bytes());
 }
 
 std::optional<std::string> PassCache::loadSlot(std::string_view name,

@@ -1,9 +1,9 @@
-// Content-addressed pass cache + checkpoint store.
+// Content-addressed FlowDB store.
 //
 // A PassCache maps 128-bit content keys (flowdb::CacheKey, computed by the
 // flow from the input snapshot, the library fingerprint, the tool/format
-// versions and each pass's relevant options) to opaque entry payloads on
-// disk.  Entries are written atomically — the payload is sealed in an
+// versions and the flow options — one whole-flow memo entry per key, see
+// core/flow_cache.h) to opaque entry payloads on disk.  Entries are written atomically — the payload is sealed in an
 // envelope, written to a process-unique temp file and renamed into place —
 // so a killed run can never leave a half-written entry behind; a reader
 // either sees the complete previous entry or none.  Loads validate the
@@ -11,11 +11,9 @@
 // as a miss with a diagnostic, so corruption degrades to a cold run rather
 // than an error.
 //
-// The same directory holds one well-known *checkpoint* slot, written after
-// every completed flow pass and consumed by `drdesync --resume`: it wraps
-// the latest entry payload together with the pass index and chain key it
-// corresponds to, letting a restarted run jump straight to the last valid
-// state instead of probing the cache pass by pass.
+// The same directory holds caller-named *slots*: well-known single files
+// that are overwritten in place (the ECO region tables live in one per
+// design, see core/eco.h).
 //
 // Several concurrent runs — threads in one process (drdesyncd requests)
 // or separate processes — may share one cache directory: temp names are
@@ -69,23 +67,8 @@ class PassCache {
   /// Returns false (leaving no partial file) on I/O failure.
   bool store(const CacheKey& key, std::string_view payload);
 
-  /// Loads the checkpoint slot: (pass_index, pass_name, key, entry
-  /// payload).  std::nullopt when absent/invalid (diagnostic to *diag).
-  struct Checkpoint {
-    std::uint32_t pass_index = 0;
-    std::string pass_name;
-    CacheKey key;
-    std::string entry;
-  };
-  std::optional<Checkpoint> loadCheckpoint(std::string* diag = nullptr);
-
-  /// Atomically overwrites the checkpoint slot.
-  bool storeCheckpoint(std::uint32_t pass_index, std::string_view pass_name,
-                       const CacheKey& key, std::string_view entry);
-
-  /// Loads a named slot (a well-known single file, like the checkpoint but
-  /// caller-defined — the ECO region tables live in one such slot per
-  /// design).  `name` must be a plain filename; `magic` is the 8-byte
+  /// Loads a named slot (a well-known single file, caller-defined — the
+  /// ECO region tables live in one such slot per design).  `name` must be a plain filename; `magic` is the 8-byte
   /// artifact magic the slot was sealed with.  std::nullopt when absent or
   /// invalid (diagnostic to *diag); version rejections are counted
   /// distinctly in stats().version_rejected.

@@ -2,7 +2,7 @@
 //
 // Two uses: the trailing checksum of every FlowDB artifact (one FNV-64
 // stream) and the content-addressed cache keys (two independent FNV-64
-// streams -> 128 bits, far below collision range for a pass cache holding
+// streams -> 128 bits, far below collision range for a FlowDB cache holding
 // at most a few thousand entries per design).  The hash is an FNV-1a
 // variant that folds eight bytes per multiply: snapshots and cache entries
 // are megabytes, and the canonical byte-at-a-time loop's serial multiply
@@ -111,11 +111,6 @@ class KeyHasher {
   void f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
   [[nodiscard]] CacheKey key() const { return CacheKey{a_.digest(), b_.digest()}; }
-  /// Chain helper: absorb a previously computed key.
-  void absorb(const CacheKey& k) {
-    u64(k.hi);
-    u64(k.lo);
-  }
 
  private:
   Fnv64 a_;

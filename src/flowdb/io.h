@@ -1,6 +1,6 @@
 // Byte-stream primitives for the FlowDB persistence layer.
 //
-// Every FlowDB artifact (design snapshots, cache entries, checkpoints) is a
+// Every FlowDB artifact (design snapshots, cache entries, named slots) is a
 // flat byte string produced by a ByteWriter and consumed by a ByteReader.
 // Multi-byte integers are encoded little-endian *explicitly* (byte shifts,
 // not memcpy), so files written on one host read identically on any other;

@@ -99,7 +99,9 @@ std::string requestLine(const Request& req) {
     for (const std::string& net : req.false_paths) nets.push(Json::str(net));
     doc.set("false_paths", std::move(nets));
   }
-  if (req.margin != 0.10) doc.set("margin", Json::number(req.margin));
+  if (req.margin != Request{}.margin) {
+    doc.set("margin", Json::number(req.margin));
+  }
   if (req.mux_taps != 0) doc.set("mux_taps", Json::number(req.mux_taps));
   if (!req.bus_heuristic) doc.set("bus_heuristic", Json::boolean(false));
   if (!req.clean_logic) doc.set("clean_logic", Json::boolean(false));

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "core/control_network.h"
 #include "server/json.h"
 
 namespace desync::server {
@@ -44,7 +45,9 @@ struct Request {
   bool reset_active_low = false;
   std::string group;  ///< manual region spec "p1,p2;p3"
   std::vector<std::string> false_paths;
-  double margin = 0.10;
+  /// Matched delay as a multiple of the region's critical path; the
+  /// default is the flow's own (ControlNetworkOptions::margin).
+  double margin = core::ControlNetworkOptions{}.margin;
   int mux_taps = 0;
   bool bus_heuristic = true;
   bool clean_logic = true;

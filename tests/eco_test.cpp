@@ -4,8 +4,7 @@
 // byte-identity guarantee against cold flows of the edited design at
 // --jobs 1 and 4 on the DLX and ARM-class case studies, and every
 // degradation path (corrupt slot, truncated slot, guard-key mismatch,
-// foreign design, --resume) falling back to a cold run — never a wrong
-// one.
+// foreign design) falling back to a cold run — never a wrong one.
 //
 // The TSan variant (eco_test_tsan, DESYNC_ECO_TEST_LIGHT) drops the two
 // CPU case studies and re-runs the whole-closure pipe2 tests with the
@@ -355,16 +354,6 @@ TEST(Eco, ForeignDesignSlotIsIgnored) {
   const FlowOutput run = runPipe2(ecoOptions(dir.string()));
   EXPECT_FALSE(run.result.flow.eco().warm);
   EXPECT_TRUE(anyNoteContains(run.result.flow, "belong to design"));
-}
-
-TEST(Eco, ResumeIsIgnoredWithANote) {
-  const fs::path dir = scratchDir("resume");
-  core::DesyncOptions opt = ecoOptions(dir.string());
-  opt.flowdb.resume = true;
-  const FlowOutput run = runPipe2(opt);
-  EXPECT_TRUE(run.result.flow.eco().ran);
-  EXPECT_TRUE(anyNoteContains(run.result.flow,
-                              "--resume is ignored in --eco mode"));
 }
 
 // --- jobs-independence and the CPU case studies ---------------------------

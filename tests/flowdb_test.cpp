@@ -1,6 +1,6 @@
-// FlowDB: snapshot round-trips, envelope validation, pass-cache
-// correctness, checkpoint/resume and the determinism guarantee (restored
-// state produces byte-identical Verilog/SDC output at any --jobs).
+// FlowDB: snapshot round-trips, envelope validation, whole-flow memo
+// correctness and the determinism guarantee (restored state produces
+// byte-identical Verilog/SDC output at any --jobs).
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -93,14 +93,21 @@ FlowOutput runCpuFlow(const designs::CpuConfig& config,
   return out;
 }
 
-core::DesyncOptions cpuOptions(const std::string& cache_dir = {},
-                               bool resume = false) {
+core::DesyncOptions cpuOptions(const std::string& cache_dir = {}) {
   core::DesyncOptions opt;
   opt.control.reset_port = "rst_n";
   opt.control.reset_active_low = true;
   opt.flowdb.cache_dir = cache_dir;
-  opt.flowdb.resume = resume;
   return opt;
+}
+
+/// File names in `dir`.
+std::vector<std::string> dirListing(const std::filesystem::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    names.push_back(e.path().filename().string());
+  }
+  return names;
 }
 
 std::string passSource(const core::FlowReport& flow, const char* pass) {
@@ -244,7 +251,7 @@ TEST(FlowCache, ResultCodecRoundTripsEveryField) {
   }
 }
 
-// --- pass cache: warm == cold, byte for byte ------------------------------
+// --- whole-flow memo: warm == cold, byte for byte -------------------------
 
 TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
   const auto dir = scratchDir("dlx_warm");
@@ -252,6 +259,12 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
 
   const FlowOutput plain = runCpuFlow(config, cpuOptions());
   const FlowOutput cold = runCpuFlow(config, cpuOptions(dir.string()));
+  // One memo entry for the whole flow: no per-pass entries, no checkpoint
+  // file, no temp file left behind.
+  const std::vector<std::string> files = dirListing(dir);
+  ASSERT_EQ(files.size(), 1u);
+  EXPECT_EQ(std::filesystem::path(files[0]).extension(), ".entry")
+      << files[0];
   const FlowOutput warm = runCpuFlow(config, cpuOptions(dir.string()));
 
   // Caching must never alter output: cold-with-cache == no-cache, and the
@@ -272,8 +285,12 @@ TEST(FlowCache, WarmRunIsByteIdenticalToColdOnDlx) {
   EXPECT_EQ(warm_stats.misses, 0u);
   EXPECT_GT(warm_stats.bytes_read, 0u);
   EXPECT_EQ(warm_stats.bytes_written, 0u);
-  for (const core::PassStat& p : warm.result.flow.passes()) {
-    EXPECT_EQ(p.source, "cache") << p.name;
+  // A hit reports the same pass rows, in the same order, as a cold run.
+  const std::vector<core::PassStat>& warm_passes = warm.result.flow.passes();
+  ASSERT_EQ(warm_passes.size(), cold.result.flow.passes().size());
+  for (std::size_t i = 0; i < warm_passes.size(); ++i) {
+    EXPECT_EQ(warm_passes[i].name, cold.result.flow.passes()[i].name);
+    EXPECT_EQ(warm_passes[i].source, "cache") << warm_passes[i].name;
   }
 }
 
@@ -309,28 +326,29 @@ TEST(FlowCache, RestoredStateIsIdenticalAcrossJobsSettings) {
   EXPECT_EQ(warm_auto.sdc, cold.sdc);
 }
 
-TEST(FlowCache, PostSubstitutionKnobChangeReusesTimingPass) {
+TEST(FlowCache, OptionChangeRunsColdAndMatchesUncached) {
   const auto dir = scratchDir("dlx_margin");
   const designs::CpuConfig config = designs::dlxConfig();
 
   (void)runCpuFlow(config, cpuOptions(dir.string()));
   core::DesyncOptions changed = cpuOptions(dir.string());
   changed.control.margin = 1.25;
-  const FlowOutput warm = runCpuFlow(config, changed);
+  const FlowOutput rerun = runCpuFlow(config, changed);
 
-  // The STA-heavy passes restore from cache; only the cheap construction
-  // and SDC generation recompute under the new margin.
-  EXPECT_EQ(passSource(warm.result.flow, "reference_sta"), "cache");
-  EXPECT_EQ(passSource(warm.result.flow, "region_timing"), "cache");
-  EXPECT_EQ(passSource(warm.result.flow, "control_network"), "computed");
-  EXPECT_EQ(passSource(warm.result.flow, "sdc_generation"), "computed");
+  // The memo key covers every option the passes read: a margin change
+  // misses and recomputes every pass.
+  EXPECT_EQ(rerun.result.flow.cacheStats().hits, 0u);
+  EXPECT_EQ(rerun.result.flow.cacheStats().misses, 7u);
+  for (const char* pass : core::kFlowPasses) {
+    EXPECT_EQ(passSource(rerun.result.flow, pass), "computed") << pass;
+  }
 
-  // And the changed run matches a cold run at the same margin exactly.
+  // And the changed run matches an uncached run at the same margin exactly.
   core::DesyncOptions reference = cpuOptions();
   reference.control.margin = 1.25;
   const FlowOutput plain = runCpuFlow(config, reference);
-  EXPECT_EQ(warm.verilog, plain.verilog);
-  EXPECT_EQ(warm.sdc, plain.sdc);
+  EXPECT_EQ(rerun.verilog, plain.verilog);
+  EXPECT_EQ(rerun.sdc, plain.sdc);
 }
 
 // --- corruption falls back to recomputing --------------------------------
@@ -363,7 +381,7 @@ TEST(FlowCache, CorruptEntriesFallBackToColdRunWithDiagnostics) {
   EXPECT_EQ(rewarm.verilog, cold.verilog);
 }
 
-// --- failure reporting and checkpoint/resume ------------------------------
+// --- failure reporting --------------------------------------------------
 
 TEST(FlowCache, PassFailureRaisesFlowErrorWithPartialReport) {
   nl::Design design;
@@ -412,43 +430,24 @@ TEST(FlowCache, ErrorReportJsonCarriesFailureAndPartialFlow) {
   }
 }
 
-TEST(FlowCache, ResumeRestartsFromLastValidCheckpoint) {
-  const auto dir = scratchDir("dlx_resume");
+TEST(FlowCache, FailedRunStoresNothingAndTheNextRunIsCold) {
+  const auto dir = scratchDir("dlx_failed");
   const designs::CpuConfig config = designs::dlxConfig();
 
-  // First run fails in control_network; the checkpoint then holds the
-  // region_timing state (the last completed pass).
+  // The run fails in control_network: the memo is stored only after the
+  // last pass succeeds, so nothing may be left in the directory.
   core::DesyncOptions broken = cpuOptions(dir.string());
   broken.control.reset_port = "no_such_port";
   broken.control.reset_active_low = false;
   EXPECT_THROW(runCpuFlow(config, broken), core::FlowError);
+  EXPECT_TRUE(dirListing(dir).empty());
 
-  // Wipe the per-pass entries, keeping only the checkpoint slot: --resume
-  // must restore from it even when the cache proper cannot answer.
-  for (const auto& e : std::filesystem::directory_iterator(dir)) {
-    if (e.path().extension() == ".entry") std::filesystem::remove(e.path());
-  }
-
-  const FlowOutput resumed =
-      runCpuFlow(config, cpuOptions(dir.string(), /*resume=*/true));
-  EXPECT_EQ(passSource(resumed.result.flow, "region_timing"), "checkpoint");
-  EXPECT_EQ(passSource(resumed.result.flow, "control_network"), "computed");
-
+  const FlowOutput next = runCpuFlow(config, cpuOptions(dir.string()));
+  EXPECT_EQ(next.result.flow.cacheStats().hits, 0u);
+  EXPECT_EQ(next.result.flow.cacheStats().misses, 7u);
   const FlowOutput plain = runCpuFlow(config, cpuOptions());
-  EXPECT_EQ(resumed.verilog, plain.verilog);
-  EXPECT_EQ(resumed.sdc, plain.sdc);
-}
-
-TEST(FlowCache, ResumeWithoutCheckpointNotesAndRunsCold) {
-  const auto dir = scratchDir("dlx_resume_empty");
-  const FlowOutput out =
-      runCpuFlow(designs::dlxConfig(), cpuOptions(dir.string(), true));
-  EXPECT_EQ(out.result.flow.cacheStats().misses, 7u);
-  bool noted = false;
-  for (const std::string& n : out.result.flow.notes()) {
-    if (n.find("no valid checkpoint") != std::string::npos) noted = true;
-  }
-  EXPECT_TRUE(noted);
+  EXPECT_EQ(next.verilog, plain.verilog);
+  EXPECT_EQ(next.sdc, plain.sdc);
 }
 
 // --- PassCache unit behaviour --------------------------------------------
@@ -541,21 +540,6 @@ TEST(PassCache, ConcurrentInstancesOnOneDirectoryKeepEntriesDistinct) {
   }
 }
 
-TEST(PassCache, CheckpointSlotRoundTrip) {
-  const auto dir = scratchDir("ckpt");
-  flowdb::PassCache cache(dir.string());
-  EXPECT_FALSE(cache.loadCheckpoint().has_value());
-
-  const flowdb::CacheKey key{42, 1337};
-  EXPECT_TRUE(cache.storeCheckpoint(4, "region_timing", key, "entry-bytes"));
-  const auto ck = cache.loadCheckpoint();
-  ASSERT_TRUE(ck.has_value());
-  EXPECT_EQ(ck->pass_index, 4u);
-  EXPECT_EQ(ck->pass_name, "region_timing");
-  EXPECT_EQ(ck->key, key);
-  EXPECT_EQ(ck->entry, "entry-bytes");
-}
-
 // --- named slots (the ECO region tables live in one per design) -----------
 
 TEST(PassCache, NamedSlotRoundTripAndOverwrite) {
@@ -601,24 +585,26 @@ TEST(PassCache, ForeignMagicNamedSlotIsRejected) {
 }
 
 TEST(PassCache, NamedSlotFromAnotherFormatVersionIsRejectedDistinctly) {
-  const auto dir = scratchDir("slot_version");
-  flowdb::PassCache cache(dir.string());
+  // Hand-seal intact envelopes claiming format versions 2 and 3: a cache
+  // directory revisited by an older build (v3 is the last format before
+  // the whole-flow memo).  The reject must be counted as version_rejected,
+  // not plain corruption.
+  for (const std::uint32_t version : {2u, 3u}) {
+    const auto dir = scratchDir("slot_version_" + std::to_string(version));
+    flowdb::PassCache cache(dir.string());
+    {
+      const std::string sealed =
+          flowdb::sealEnvelope("DSYNCECO", version, "old-format tables");
+      std::ofstream f(dir / "eco-dlx.tbl", std::ios::binary);
+      f.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+    }
 
-  // Hand-seal an intact envelope claiming format version 2: a cache
-  // directory revisited by an older build.  The reject must be counted as
-  // version_rejected, not plain corruption.
-  {
-    const std::string sealed =
-        flowdb::sealEnvelope("DSYNCECO", 2, "old-format tables");
-    std::ofstream f(dir / "eco-dlx.tbl", std::ios::binary);
-    f.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+    std::string diag;
+    EXPECT_FALSE(cache.loadSlot("eco-dlx.tbl", "DSYNCECO", &diag).has_value());
+    EXPECT_NE(diag.find("version"), std::string::npos) << diag;
+    EXPECT_EQ(cache.stats().version_rejected, 1u) << version;
+    EXPECT_EQ(cache.stats().invalid, 1u) << version;
   }
-
-  std::string diag;
-  EXPECT_FALSE(cache.loadSlot("eco-dlx.tbl", "DSYNCECO", &diag).has_value());
-  EXPECT_NE(diag.find("version"), std::string::npos) << diag;
-  EXPECT_EQ(cache.stats().version_rejected, 1u);
-  EXPECT_EQ(cache.stats().invalid, 1u);
 }
 
 // --- Verilog writer/reader round-trip stability ---------------------------

@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/desync.h"
 #include "designs/cpu.h"
 #include "fuzz/generator.h"
 #include "netlist/verilog.h"
@@ -250,6 +251,43 @@ TEST(FlowService, RepliesAreIdenticalAtAnyJobsBudget) {
   EXPECT_EQ(serial.getString("verilog", "a"), pooled.getString("verilog", "b"));
   EXPECT_EQ(serial.getString("sdc", "a"), pooled.getString("sdc", "b"));
   EXPECT_EQ(serial.find("report")->dump(), pooled.find("report")->dump());
+}
+
+TEST(FlowService, RequestWithoutMarginUsesTheFlowDefault) {
+  server::FlowService service(builtinService());
+  const std::string verilog =
+      fuzz::generateVerilog(service.gatefile(), 7, {});
+
+  // The wire line of a default request omits "margin", and the daemon
+  // must then build what core::desynchronize builds with default options.
+  server::Request req;
+  req.design = verilog;
+  req.reset_port = "rst_n";
+  req.reset_active_low = true;
+  req.report = server::ReportMode::kNone;
+  const std::string line = server::requestLine(req);
+  EXPECT_EQ(line.find("margin"), std::string::npos) << line;
+  const server::Json reply =
+      service.handle(server::parseMessage(line).request);
+  ASSERT_TRUE(reply.getBool("ok", false)) << reply.dump();
+
+  netlist::Design design;
+  netlist::readVerilog(design, verilog, service.gatefile());
+  desync::core::DesyncOptions opt;
+  opt.control.reset_port = "rst_n";
+  opt.control.reset_active_low = true;
+  const desync::core::DesyncResult result = desync::core::desynchronize(
+      design, design.top(), service.gatefile(), opt);
+  EXPECT_EQ(reply.getString("verilog", ""), netlist::writeVerilog(design));
+  EXPECT_EQ(reply.getString("sdc", ""), result.sdc.toText());
+
+  // The design is margin-sensitive, so the check above bites: a 0.10
+  // multiplier builds shorter delay elements.
+  req.margin = 0.10;
+  const server::Json short_margin = service.handle(req);
+  ASSERT_TRUE(short_margin.getBool("ok", false)) << short_margin.dump();
+  EXPECT_NE(short_margin.getString("verilog", ""),
+            reply.getString("verilog", ""));
 }
 
 // --- stream transport ----------------------------------------------------

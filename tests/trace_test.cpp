@@ -414,7 +414,7 @@ TEST(Trace, ParallelCacheAndCounterEventsPresent) {
   EXPECT_TRUE(parallel_for);
   EXPECT_TRUE(parallel_run);
   EXPECT_TRUE(cache_probe);   // fresh cache dir: probe ran (and missed)
-  EXPECT_TRUE(cache_store);   // ...so every pass was stored
+  EXPECT_TRUE(cache_store);   // ...so the memo entry was stored
   auto hasCounter = [&](std::string_view n) {
     for (const std::string& c : counters) {
       if (c == n) return true;

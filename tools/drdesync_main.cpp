@@ -58,7 +58,8 @@ void usage() {
       "  --group \"p1,p2;p3\" manual regions by cell-name prefix\n"
       "                     (';' separates regions, ',' prefixes)\n"
       "  --false-path NET   net the grouping pass ignores (repeatable)\n"
-      "  --margin F         matched-delay safety margin (default 0.10)\n"
+      "  --margin F         matched delay as a multiple of the region's\n"
+      "                     critical path (default 1.15)\n"
       "  --mux-taps N       delay-line calibration taps: 0, 2, 4 or 8\n"
       "  --no-bus-heuristic disable bus-name region merging\n"
       "  --no-clean         skip netlist cleaning before grouping\n"
@@ -76,10 +77,9 @@ void usage() {
       "execution:\n"
       "  --jobs N           worker threads, 0 = auto (default: DESYNC_JOBS\n"
       "                     env or hardware concurrency)\n"
-      "  --cache-dir DIR    FlowDB pass cache: restore unchanged pipeline\n"
-      "                     prefixes instead of recomputing\n"
-      "  --resume           restart from the last valid checkpoint in\n"
-      "                     --cache-dir\n"
+      "  --cache-dir DIR    FlowDB cache: an identical rerun (same input\n"
+      "                     and flow options) restores the whole flow\n"
+      "                     from one memo entry instead of recomputing\n"
       "  --eco              incremental recompute: diff the input against\n"
       "                     the previous run's region tables in --cache-dir\n"
       "                     and re-analyze only the dirty regions\n"
@@ -227,8 +227,6 @@ int main(int argc, char** argv) {
       opt.grouping.clean_logic = false;
     } else if (arg == "--cache-dir") {
       opt.flowdb.cache_dir = next();
-    } else if (arg == "--resume") {
-      opt.flowdb.resume = true;
     } else if (arg == "--eco") {
       opt.flowdb.eco = true;
     } else if (arg == "--eco-base") {
@@ -253,10 +251,6 @@ int main(int argc, char** argv) {
   }
   if (lib_path.empty() || in_path.empty() || out_path.empty()) {
     usage();
-    return 2;
-  }
-  if (opt.flowdb.resume && opt.flowdb.cache_dir.empty()) {
-    std::fputs("drdesync: --resume requires --cache-dir\n", stderr);
     return 2;
   }
   if (!eco_base.empty()) {
